@@ -132,6 +132,10 @@ func (p *Prediction) VADemandFrac(k resources.Kind, t int) float64 {
 
 // CVM is a placed CoachVM: an allocation plus its resolved guaranteed and
 // oversubscribed portions in absolute units.
+//
+// A CVM must not be mutated after construction: New and FullyGuaranteed
+// derive its per-window scheduling demand once, and every Pool it joins
+// adds and later subtracts exactly those cached values.
 type CVM struct {
 	ID    int
 	Alloc resources.Vector
@@ -143,6 +147,9 @@ type CVM struct {
 	// VADemand[k][t] is the absolute oversubscribed demand of resource k
 	// in window t (formula 2, rounded up to granularity).
 	VADemand [resources.NumKinds][]float64
+
+	// sched[k][t] is SchedDemand(k, t), filled by fillSched.
+	sched [resources.NumKinds][]float64
 }
 
 // New resolves a prediction into a CoachVM's guaranteed/oversubscribed
@@ -167,6 +174,7 @@ func New(id int, alloc resources.Vector, pred Prediction) (*CVM, error) {
 			}
 		}
 	}
+	vm.fillSched()
 	return vm, nil
 }
 
@@ -181,6 +189,7 @@ func FullyGuaranteed(id int, alloc resources.Vector, w timeseries.Windows) *CVM 
 		vm.Pred.Pct[k] = ones(w.PerDay)
 		vm.VADemand[k] = make([]float64, w.PerDay)
 	}
+	vm.fillSched()
 	return vm
 }
 
@@ -192,8 +201,8 @@ func ones(n int) []float64 {
 	return out
 }
 
-// SchedDemand returns the VM's scheduling demand for resource k in window
-// t — the quantity the time-window bin-packing sums per server (§3.3):
+// fillSched caches the scheduling demand of every (kind, window) — the
+// quantity the time-window bin-packing sums per server (§3.3):
 //
 //   - For non-fungible resources (memory space, SSD space) the static
 //     guaranteed portion must be physically present at all times, so the
@@ -202,11 +211,29 @@ func ones(n int) []float64 {
 //     reassigns capacity on demand, so the scheduler packs the predicted
 //     per-window utilization directly (the paper's {2, 6, 4} cores
 //     example) — this is where complementary temporal patterns pay off.
-func (vm *CVM) SchedDemand(k resources.Kind, t int) float64 {
-	if resources.KindFungibility(k) == resources.NonFungible {
-		return vm.Guaranteed[k] + vm.VADemand[k][t]
+//
+// Every feasibility check reads these values once per candidate server,
+// so they are computed once per VM rather than per check.
+func (vm *CVM) fillSched() {
+	w := vm.Pred.Windows.PerDay
+	flat := make([]float64, int(resources.NumKinds)*w)
+	for _, k := range resources.Kinds {
+		d := flat[int(k)*w : (int(k)+1)*w : (int(k)+1)*w]
+		for t := range d {
+			if resources.KindFungibility(k) == resources.NonFungible {
+				d[t] = vm.Guaranteed[k] + vm.VADemand[k][t]
+			} else {
+				d[t] = roundUp(stats.BucketUp(vm.Pred.Max[k][t], FractionBucket)*vm.Alloc[k], vm.Alloc[k], k)
+			}
+		}
+		vm.sched[k] = d
 	}
-	return roundUp(stats.BucketUp(vm.Pred.Max[k][t], FractionBucket)*vm.Alloc[k], vm.Alloc[k], k)
+}
+
+// SchedDemand returns the VM's scheduling demand for resource k in window
+// t, as cached at construction (see fillSched).
+func (vm *CVM) SchedDemand(k resources.Kind, t int) float64 {
+	return vm.sched[k][t]
 }
 
 // MaxDemand returns the VM's maximum scheduling demand for resource k

@@ -2,6 +2,7 @@ package coachvm
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/timeseries"
@@ -27,13 +28,19 @@ type Pool struct {
 	// t (guaranteed + VA for non-fungible kinds; predicted per-window
 	// utilization for fungible kinds).
 	demandSum [resources.NumKinds][]float64
+	// backed[k] is the peak of demandSum[k] across windows (Backed),
+	// recomputed by Add and Remove in the same pass that updates the sums.
+	backed resources.Vector
+	// empty holds while the pool is in NewPool's state: no members and
+	// every sum exactly zero (see Empty).
+	empty bool
 
 	members map[int]*CVM
 }
 
 // NewPool creates an empty pool for a server of the given capacity.
 func NewPool(capacity resources.Vector, w timeseries.Windows) *Pool {
-	p := &Pool{windows: w, capacity: capacity, members: make(map[int]*CVM)}
+	p := &Pool{windows: w, capacity: capacity, empty: true, members: make(map[int]*CVM)}
 	for _, k := range resources.Kinds {
 		p.demandSum[k] = make([]float64, w.PerDay)
 	}
@@ -48,6 +55,15 @@ func (p *Pool) Windows() timeseries.Windows { return p.windows }
 
 // Len returns the number of member VMs.
 func (p *Pool) Len() int { return len(p.members) }
+
+// Empty reports whether the pool is exactly as NewPool left it: no
+// members, and the guaranteed and per-window sums all exactly zero. Two
+// empty pools of one capacity and window split answer Fits identically
+// and have the same Backed, so a best-fit scan needs to look at only one
+// of them. A pool whose members have all left can keep a rounding residue
+// in its sums (e.g. from 0.1-granularity network demand); it is not
+// empty until the residue is gone.
+func (p *Pool) Empty() bool { return p.empty }
 
 // Members returns the member VMs keyed by ID (shared map: do not mutate).
 func (p *Pool) Members() map[int]*CVM { return p.members }
@@ -81,16 +97,18 @@ func (p *Pool) Oversubscribed() resources.Vector {
 // Backed returns, per resource, the peak summed scheduling demand across
 // windows: the physical resources the server must actually reserve. For
 // memory this equals guaranteed + oversubscribed (formulas 3 + 4).
-func (p *Pool) Backed() resources.Vector {
-	var out resources.Vector
-	for _, k := range resources.Kinds {
-		for _, s := range p.demandSum[k] {
-			if s > out[k] {
-				out[k] = s
-			}
+func (p *Pool) Backed() resources.Vector { return p.backed }
+
+// peak is the scan Backed caches: the largest of the sums, and 0 when
+// none is positive.
+func peak(sums []float64) float64 {
+	var m float64
+	for _, s := range sums {
+		if s > m {
+			m = s
 		}
 	}
-	return out
+	return m
 }
 
 // Free returns capacity - Backed, the room left for further VMs.
@@ -104,13 +122,15 @@ func (p *Pool) Fits(vm *CVM) bool {
 		return false
 	}
 	for _, k := range resources.Kinds {
+		limit := p.capacity[k] + 1e-9
 		if resources.KindFungibility(k) == resources.NonFungible {
-			if p.guaranteed[k]+vm.Guaranteed[k] > p.capacity[k]+1e-9 {
+			if p.guaranteed[k]+vm.Guaranteed[k] > limit {
 				return false
 			}
 		}
-		for t := 0; t < p.windows.PerDay; t++ {
-			if p.demandSum[k][t]+vm.SchedDemand(k, t) > p.capacity[k]+1e-9 {
+		sums, d := p.demandSum[k], vm.sched[k]
+		for t, s := range sums {
+			if s+d[t] > limit {
 				return false
 			}
 		}
@@ -128,11 +148,14 @@ func (p *Pool) Add(vm *CVM) error {
 		return fmt.Errorf("coachvm: vm %d does not fit in pool", vm.ID)
 	}
 	p.members[vm.ID] = vm
+	p.empty = false
 	p.guaranteed = p.guaranteed.Add(vm.Guaranteed)
 	for _, k := range resources.Kinds {
-		for t := 0; t < p.windows.PerDay; t++ {
-			p.demandSum[k][t] += vm.SchedDemand(k, t)
+		sums, d := p.demandSum[k], vm.sched[k]
+		for t := range sums {
+			sums[t] += d[t]
 		}
+		p.backed[k] = peak(sums)
 	}
 	return nil
 }
@@ -145,15 +168,65 @@ func (p *Pool) Remove(id int) *CVM {
 	}
 	delete(p.members, id)
 	p.guaranteed = p.guaranteed.Sub(vm.Guaranteed).ClampNonNegative()
+	zero := len(p.members) == 0 && p.guaranteed == (resources.Vector{})
 	for _, k := range resources.Kinds {
-		for t := 0; t < p.windows.PerDay; t++ {
-			p.demandSum[k][t] -= vm.SchedDemand(k, t)
-			if p.demandSum[k][t] < 0 {
-				p.demandSum[k][t] = 0
+		sums, d := p.demandSum[k], vm.sched[k]
+		for t := range sums {
+			sums[t] -= d[t]
+			if sums[t] < 0 {
+				sums[t] = 0
+			}
+			zero = zero && sums[t] == 0
+		}
+		p.backed[k] = peak(sums)
+	}
+	p.empty = zero
+	return vm
+}
+
+// Audit recomputes the pool's bookkeeping from its members and reports
+// the first inconsistency: a guaranteed or per-window sum that is
+// negative or drifts from the members' total by more than the 1e-9 slack
+// Fits allows, a cached peak that differs in any bit from a fresh scan of
+// the sums, or an Empty flag that does not match the state.
+func (p *Pool) Audit() error {
+	const slack = 1e-9
+	var guaranteed resources.Vector
+	var demand [resources.NumKinds][]float64
+	for _, k := range resources.Kinds {
+		demand[k] = make([]float64, p.windows.PerDay)
+	}
+	for _, vm := range p.members {
+		guaranteed = guaranteed.Add(vm.Guaranteed)
+		for _, k := range resources.Kinds {
+			for t := range demand[k] {
+				demand[k][t] += vm.sched[k][t]
 			}
 		}
 	}
-	return vm
+	zero := len(p.members) == 0
+	for _, k := range resources.Kinds {
+		if g := p.guaranteed[k]; g < 0 || math.Abs(g-guaranteed[k]) > slack {
+			return fmt.Errorf("coachvm: pool guaranteed %v is %g, members sum to %g", k, g, guaranteed[k])
+		}
+		zero = zero && p.guaranteed[k] == 0
+		if len(p.demandSum[k]) != p.windows.PerDay {
+			return fmt.Errorf("coachvm: pool %v has %d window sums, want %d", k, len(p.demandSum[k]), p.windows.PerDay)
+		}
+		for t, s := range p.demandSum[k] {
+			if s < 0 || math.Abs(s-demand[k][t]) > slack {
+				return fmt.Errorf("coachvm: pool %v window %d demand is %g, members sum to %g", k, t, s, demand[k][t])
+			}
+			zero = zero && s == 0
+		}
+		if want := peak(p.demandSum[k]); math.Float64bits(p.backed[k]) != math.Float64bits(want) {
+			return fmt.Errorf("coachvm: pool %v cached peak %g, window sums peak at %g", k, p.backed[k], want)
+		}
+	}
+	if p.empty != zero {
+		return fmt.Errorf("coachvm: pool empty flag %v, state says %v", p.empty, zero)
+	}
+	return nil
 }
 
 // MultiplexSavings returns, per resource, the amount saved by multiplexing

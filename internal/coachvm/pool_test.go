@@ -260,3 +260,101 @@ func TestFreeNonNegative(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolAuditChurn drives a pool through seeded random Add/Remove
+// sequences — including draining it to empty and refilling it — and
+// audits the cached sums, peak and Empty flag after every operation.
+func TestPoolAuditChurn(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := NewPool(resources.NewVector(64, 512, 40, 8192), w6)
+		if err := p.Audit(); err != nil {
+			t.Fatalf("seed %d: fresh pool: %v", seed, err)
+		}
+		if !p.Empty() {
+			t.Fatalf("seed %d: fresh pool is not Empty", seed)
+		}
+		var in []int
+		next := 0
+		emptied := 0
+		for op := 0; op < 3000; op++ {
+			switch {
+			case len(in) > 0 && rng.Intn(100) < 5:
+				// Drain the pool completely.
+				for _, id := range in {
+					if p.Remove(id) == nil {
+						t.Fatalf("seed %d op %d: Remove(%d) = nil", seed, op, id)
+					}
+					if err := p.Audit(); err != nil {
+						t.Fatalf("seed %d op %d: drain: %v", seed, op, err)
+					}
+				}
+				in = in[:0]
+				emptied++
+			case len(in) > 0 && rng.Intn(2) == 0:
+				i := rng.Intn(len(in))
+				if p.Remove(in[i]) == nil {
+					t.Fatalf("seed %d op %d: Remove(%d) = nil", seed, op, in[i])
+				}
+				in[i] = in[len(in)-1]
+				in = in[:len(in)-1]
+			default:
+				vm := randCVM(t, rng, next, w6)
+				next++
+				if p.Add(vm) == nil {
+					in = append(in, vm.ID)
+				}
+			}
+			if err := p.Audit(); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
+			}
+			if p.Len() != len(in) {
+				t.Fatalf("seed %d op %d: Len %d, want %d", seed, op, p.Len(), len(in))
+			}
+		}
+		if emptied == 0 {
+			t.Fatalf("seed %d: churn never emptied the pool", seed)
+		}
+	}
+}
+
+// TestPoolAuditDetectsCorruption flips each piece of cached state and
+// expects Audit to name it.
+func TestPoolAuditDetectsCorruption(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	fresh := func() *Pool {
+		p := NewPool(resources.NewVector(64, 512, 40, 8192), w6)
+		for id := 0; id < 4; id++ {
+			if err := p.Add(randCVM(t, rng, id, w6)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Audit(); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	mem := resources.Memory
+	for name, corrupt := range map[string]func(p *Pool){
+		"guaranteed drift":   func(p *Pool) { p.guaranteed[mem] += 1e-6 },
+		"negative sum":       func(p *Pool) { p.demandSum[resources.CPU][2] = -p.demandSum[resources.CPU][2] - 1 },
+		"window sum drift":   func(p *Pool) { p.demandSum[mem][1] += 1e-6 },
+		"peak one bit off":   func(p *Pool) { p.backed[mem] = math.Nextafter(p.backed[mem], math.Inf(1)) },
+		"empty flag":         func(p *Pool) { p.empty = true },
+		"missing window sum": func(p *Pool) { p.demandSum[mem] = p.demandSum[mem][:3] },
+	} {
+		p := fresh()
+		corrupt(p)
+		if err := p.Audit(); err == nil {
+			t.Errorf("%s: Audit passed", name)
+		}
+	}
+	// A pool drained to a rounding residue is consistent but not Empty.
+	p := NewPool(resources.NewVector(64, 512, 40, 8192), w6)
+	p.demandSum[resources.Network][0] = 3.7e-11
+	p.backed[resources.Network] = 3.7e-11
+	p.empty = false
+	if err := p.Audit(); err != nil {
+		t.Errorf("residue within slack: %v", err)
+	}
+}

@@ -51,6 +51,11 @@ type Scheduler struct {
 	// Scheduler is single-goroutine (shards wrap their own), so one
 	// scratch per scheduler suffices.
 	candScratch []Candidate
+	// capClass[i] numbers server i's capacity: servers of equal capacity
+	// share a class. classSeen is the per-scan scratch of
+	// duplicateEmpty, one flag per class.
+	capClass  []int
+	classSeen []bool
 }
 
 // New builds a scheduler over the fleet with empty servers.
@@ -78,6 +83,7 @@ func NewOverServers(servers []*cluster.Server, w timeseries.Windows) (*Scheduler
 		return nil, fmt.Errorf("scheduler: no servers")
 	}
 	s := &Scheduler{windows: w, placement: make(map[int]int)}
+	classes := make(map[resources.Vector]int)
 	for _, srv := range servers {
 		if !srv.Capacity().Positive() {
 			return nil, fmt.Errorf("scheduler: server %d has non-positive capacity %v", srv.ID, srv.Capacity())
@@ -86,7 +92,14 @@ func NewOverServers(servers []*cluster.Server, w timeseries.Windows) (*Scheduler
 			Server: srv,
 			Pool:   coachvm.NewPool(srv.Capacity(), w),
 		})
+		c, ok := classes[srv.Capacity()]
+		if !ok {
+			c = len(classes)
+			classes[srv.Capacity()] = c
+		}
+		s.capClass = append(s.capClass, c)
 	}
+	s.classSeen = make([]bool, len(classes))
 	return s, nil
 }
 
@@ -115,8 +128,9 @@ func (s *Scheduler) PlaceExcluding(vm *coachvm.CVM, exclude int) (serverIdx int,
 	}
 	best := -1
 	bestScore := -1.0
+	clear(s.classSeen)
 	for i, st := range s.servers {
-		if i == exclude || s.Down(i) || !st.Pool.Fits(vm) {
+		if i == exclude || s.Down(i) || s.duplicateEmpty(i) || !st.Pool.Fits(vm) {
 			continue
 		}
 		if score := s.packScore(st, vm); score > bestScore {
@@ -172,11 +186,32 @@ type Candidate struct {
 // could take vm — the capacity question alone, without building the
 // Candidates ranking.
 func (s *Scheduler) HasFeasible(vm *coachvm.CVM, exclude int) bool {
+	clear(s.classSeen)
 	for i, st := range s.servers {
-		if i != exclude && !s.Down(i) && st.Pool.Fits(vm) {
+		if i != exclude && !s.Down(i) && !s.duplicateEmpty(i) && st.Pool.Fits(vm) {
 			return true
 		}
 	}
+	return false
+}
+
+// duplicateEmpty reports whether server i is empty (coachvm.Pool.Empty)
+// and this scan has already reached an empty server of the same capacity.
+// The scan calls it in index order, after the exclude and down checks, so
+// the server it lets through is the lowest-index empty, up, non-excluded
+// one of its capacity. The others answer Fits the same way and score the
+// same, and a later server replaces the best only on a strictly higher
+// score, so skipping them never changes the pick. The caller clears
+// classSeen before the scan.
+func (s *Scheduler) duplicateEmpty(i int) bool {
+	if !s.servers[i].Pool.Empty() {
+		return false
+	}
+	c := s.capClass[i]
+	if s.classSeen[c] {
+		return true
+	}
+	s.classSeen[c] = true
 	return false
 }
 
@@ -260,7 +295,7 @@ func (s *Scheduler) ScoreAt(vm *coachvm.CVM, server int) float64 {
 // preference maximizes.
 func (s *Scheduler) packScore(st *ServerState, vm *coachvm.CVM) float64 {
 	backed := st.Pool.Backed().Add(vm.Guaranteed)
-	frac := backed.Utilization(st.Server.Capacity())
+	frac := backed.Utilization(st.Pool.Capacity())
 	var sum float64
 	for _, k := range resources.Kinds {
 		sum += frac[k]

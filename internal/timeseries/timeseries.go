@@ -7,6 +7,7 @@ package timeseries
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/coach-oss/coach/internal/stats"
 )
@@ -158,16 +159,38 @@ func (s Series) LifetimeWindowMax(w Windows) []float64 {
 // WindowPercentile returns, per window, the p-th percentile of all samples
 // falling in that window across every day. Coach uses this (e.g., P95) to
 // size the guaranteed (PA) portion per formula (1) of §3.3.
+//
+// The samples of each window are gathered, in series order, into one
+// contiguous run of a single buffer and sorted in place, so the result is
+// stats.Percentile of each window's samples without a per-window slice.
 func (s Series) WindowPercentile(w Windows, p float64) []float64 {
-	buckets := make([][]float64, w.PerDay)
 	per := w.Samples()
-	for i, v := range s {
-		win := (i % SamplesPerDay) / per
-		buckets[win] = append(buckets[win], v)
+	// start[win] is where window win's run begins; start[PerDay] = len(s).
+	start := make([]int, w.PerDay+1)
+	for day := 0; day < len(s); day += SamplesPerDay {
+		n := min(SamplesPerDay, len(s)-day)
+		for win := 0; win*per < n; win++ {
+			start[win+1] += min(per, n-win*per)
+		}
+	}
+	for win := 1; win <= w.PerDay; win++ {
+		start[win] += start[win-1]
+	}
+	buf := make([]float64, len(s))
+	next := make([]int, w.PerDay)
+	copy(next, start)
+	for day := 0; day < len(s); day += SamplesPerDay {
+		n := min(SamplesPerDay, len(s)-day)
+		for win := 0; win*per < n; win++ {
+			lo := day + win*per
+			next[win] += copy(buf[next[win]:], s[lo:day+min((win+1)*per, n)])
+		}
 	}
 	out := make([]float64, w.PerDay)
-	for win, xs := range buckets {
-		out[win] = stats.Percentile(xs, p)
+	for win := range out {
+		xs := buf[start[win]:start[win+1]]
+		slices.Sort(xs)
+		out[win] = stats.PercentileSorted(xs, p)
 	}
 	return out
 }
