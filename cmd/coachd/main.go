@@ -23,15 +23,14 @@
 // long-term predictor on the first half (unless -lazy-train defers that
 // to the first request), and serves until SIGINT/SIGTERM, then shuts
 // down gracefully: in-flight requests finish, the admission and
-// prediction batchers drain, new requests get 503.
+// prediction coalescers drain, new requests get 503.
 //
 // Concurrent admissions on the same cluster coalesce into fleet-sized
 // what-if rollouts (one forest pass, one score matrix, one pool sweep per
 // batch) committed in arrival order — bit-identical to serial admission
-// (docs/DESIGN.md §15). -no-batch disables both batchers (the fully
-// serial baseline); -no-admit-batch disables only admission coalescing,
-// and -admit-batch-max caps an admit batch separately from -batch-max
-// (0 inherits it).
+// (docs/DESIGN.md §15). -batch-max and -batch-wait tune prediction and
+// admission coalescing alike; -no-batch disables both (the fully serial
+// baseline).
 //
 // With -data-plane every fleet server runs the memory data plane (memsim
 // server + oversubscription agent): admitted VMs attach their memory, and
@@ -92,11 +91,9 @@ func main() {
 	scenarioFlag := flag.String("scenario", "", "workload scenario: a preset name ("+strings.Join(scenario.PresetNames, ", ")+") or a spec file path; empty uses the calibrated GenConfig trace")
 	servers := flag.Int("servers", 8, "servers per cluster in the ten-cluster fleet")
 	policy := flag.String("policy", "coach", "oversubscription policy: none, single, coach or aggrcoach")
-	batchMax := flag.Int("batch-max", 64, "max prediction requests coalesced into one forest pass")
+	batchMax := flag.Int("batch-max", 64, "max requests coalesced into one batch (a forest pass or an admission rollout)")
 	batchWait := flag.Duration("batch-wait", 0, "max wait for stragglers per batch (0 = opportunistic)")
 	noBatch := flag.Bool("no-batch", false, "disable both batchers: per-request inference and serial admission")
-	noAdmitBatch := flag.Bool("no-admit-batch", false, "disable admission coalescing only (predictions still batch)")
-	admitBatchMax := flag.Int("admit-batch-max", 0, "max admissions coalesced into one rollout (0 = -batch-max)")
 	lazyTrain := flag.Bool("lazy-train", false, "defer model training to the first prediction request")
 	trainWorkers := flag.Int("train-workers", 0, "goroutines growing forest trees during training (0 = GOMAXPROCS); the model is identical for any value")
 	dataPlane := flag.Bool("data-plane", false, "run the per-server memory data plane (memsim + oversubscription agent)")
@@ -113,7 +110,6 @@ func main() {
 	opts := options{
 		addr: *addr, scale: *scale, scenario: *scenarioFlag, servers: *servers, policy: *policy,
 		batchMax: *batchMax, batchWait: *batchWait, noBatch: *noBatch,
-		noAdmitBatch: *noAdmitBatch, admitBatchMax: *admitBatchMax,
 		lazyTrain: *lazyTrain, trainWorkers: *trainWorkers,
 		dataPlane: *dataPlane, mitigation: *mitigation,
 		mitigationMode: *mitigationMode, dpInterval: *dpInterval,
@@ -136,8 +132,6 @@ type options struct {
 	batchMax       int
 	batchWait      time.Duration
 	noBatch        bool
-	noAdmitBatch   bool
-	admitBatchMax  int
 	lazyTrain      bool
 	trainWorkers   int
 	dataPlane      bool
@@ -202,13 +196,8 @@ func run(o options) error {
 		cfg.Percentile = 50
 	}
 	cfg.Batch = serve.BatchConfig{Disabled: o.noBatch, MaxBatch: o.batchMax, MaxWait: o.batchWait}
-	// The zero AdmitBatch mirrors Batch, so -no-batch alone serves fully
-	// serially; the explicit knobs below override that mirror.
-	if o.noAdmitBatch {
-		cfg.AdmitBatch = serve.BatchConfig{Disabled: true}
-	} else if o.admitBatchMax > 0 {
-		cfg.AdmitBatch = serve.BatchConfig{Disabled: o.noBatch, MaxBatch: o.admitBatchMax, MaxWait: o.batchWait}
-	}
+	// The zero AdmitBatch mirrors Batch: admissions coalesce under the
+	// same -batch-max/-batch-wait, and -no-batch serves fully serially.
 	cfg.LongTerm.Forest.Workers = o.trainWorkers
 	if o.dataPlane {
 		cfg.DataPlane = true
@@ -307,7 +296,7 @@ func run(o options) error {
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	err = srv.Shutdown(shutdownCtx) // stop accepting, finish in-flight requests
-	svc.Close()                     // then drain the batcher
+	svc.Close()                     // then drain the coalescers
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}

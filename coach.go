@@ -304,8 +304,9 @@ type (
 	// ServiceConfig parameterizes a Service: policy, windows, percentile,
 	// prediction batching and the shared trained-model cache.
 	ServiceConfig = serve.Config
-	// ServiceBatchConfig tunes how concurrent predictions coalesce into
-	// single forest passes.
+	// ServiceBatchConfig tunes one request coalescer (Disabled, MaxBatch,
+	// MaxWait): how concurrent predictions coalesce into single forest
+	// passes, or concurrent admissions into single what-if rollouts.
 	ServiceBatchConfig = serve.BatchConfig
 	// ModelCache memoizes trained predictors by (trace, config) so cold
 	// starts pay forest training once; share one across Services to reuse

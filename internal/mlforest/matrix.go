@@ -7,7 +7,7 @@ import (
 
 // This file implements the level-synchronous inference path
 // (docs/DESIGN.md §14). Alongside the depth-first node arena that Predict
-// and PredictBatch pointer-walk row by row, every trained Forest carries a
+// pointer-walks row by row, every trained Forest carries a
 // second, breadth-first layout of the same ensemble: per-tree slabs in
 // which each level's nodes are contiguous and leaves are self-looping
 // sentinels (feature 0, threshold +Inf, both children pointing at the
@@ -21,7 +21,7 @@ import (
 // The accumulation order is exactly Predict's: trees evaluate in training
 // order, each row's running sum adds tree t's leaf before tree t+1's, and
 // the final division by the ensemble size is the same single operation.
-// Predict, PredictBatch and PredictMatrix are therefore bit-identical —
+// Predict and PredictMatrix are therefore bit-identical on NaN-free rows —
 // pinned by the equivalence wall in matrix_test.go and the fuzzed
 // random-arena walk comparison.
 
@@ -185,9 +185,11 @@ func (f *Forest) buildBFS() {
 // otherwise) and returning the slice used. Results are bit-identical to
 // calling Predict per row: each row accumulates its per-tree leaf values
 // in training order and the final division is the same operation — only
-// the walk schedule differs. A matrix whose feature dimensionality does
-// not match the trained forest predicts 0 for every row, as in Predict,
-// and counts the rows in Stats().MismatchedRows.
+// the walk schedule differs. The equality holds only for NaN-free rows: a
+// NaN feature fails every split compare, which sends it right in Predict
+// and left here. A matrix whose feature dimensionality does not match
+// the trained forest predicts 0 for every row, as in Predict, and counts
+// the rows in Stats().MismatchedRows.
 func (f *Forest) PredictMatrix(m *RowMatrix, out []float64) []float64 {
 	n := m.rows
 	if len(out) != n {

@@ -10,6 +10,7 @@ package resources
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -163,10 +164,11 @@ func (v Vector) IsZero() bool {
 	return true
 }
 
-// Positive reports whether every element is strictly greater than zero.
+// Positive reports whether every element is finite and strictly greater
+// than zero. NaN and +Inf elements fail.
 func (v Vector) Positive() bool {
 	for i := range v {
-		if v[i] <= 0 {
+		if !(v[i] > 0) || math.IsInf(v[i], 1) {
 			return false
 		}
 	}

@@ -120,6 +120,12 @@ func TestIsZeroPositive(t *testing.T) {
 	if vec(1, 0, 1, 1).Positive() {
 		t.Error("vector with zero Positive true")
 	}
+	if vec(1, math.NaN(), 1, 1).Positive() {
+		t.Error("vector with NaN Positive true")
+	}
+	if vec(1, 1, math.Inf(1), 1).Positive() {
+		t.Error("vector with +Inf Positive true")
+	}
 }
 
 func TestDotProduct(t *testing.T) {

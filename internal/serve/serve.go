@@ -8,11 +8,11 @@
 // Three mechanisms make the hot path production-shaped rather than a thin
 // wrapper (docs/DESIGN.md §7):
 //
-//   - A request batcher coalesces concurrent predictions into single
-//     batched forest passes (predict.LongTerm.PredictBatch), amortizing
-//     per-tree dispatch across requests. Batched results are bit-identical
-//     to per-request prediction, so responses never depend on batch
-//     composition.
+//   - A request coalescer (coalesce.go) batches concurrent predictions
+//     into single forest passes (predict.LongTerm.PredictBatch), and
+//     concurrent admissions per cluster shard into single what-if
+//     rollouts. Batched results are bit-identical to per-request ones, so
+//     responses never depend on batch composition.
 //   - A trained-model cache keyed by (trace fingerprint, training config)
 //     makes cold starts pay forest training once; later services and
 //     requests share the fitted model (singleflight under concurrency).
@@ -52,6 +52,9 @@ var ErrDataPlaneDisabled = errors.New("serve: data plane disabled")
 // a Retry-After, and /readyz reports not-ready.
 var ErrModelUnavailable = errors.New("serve: prediction model unavailable")
 
+// ErrAlreadyAdmitted is wrapped by Admit when the VM is already placed.
+var ErrAlreadyAdmitted = errors.New("already admitted")
+
 // dpTickSeconds is the simulated length of one data-plane tick: one
 // 5-minute utilization sample, matching the cluster simulator's replay
 // granularity.
@@ -72,15 +75,14 @@ type Config struct {
 	// TrainUpTo is the trace sample separating the model's training
 	// period from served requests (default: half the horizon).
 	TrainUpTo int
-	// Batch tunes the prediction batcher.
+	// Batch tunes the prediction coalescer.
 	Batch BatchConfig
-	// AdmitBatch tunes the admission batcher, which coalesces concurrent
+	// AdmitBatch tunes the admission coalescer, which batches concurrent
 	// admissions on the same shard into one fleet-sized what-if rollout
 	// (one forest pass, one score matrix, one pool sweep) committed in
 	// arrival order — bit-identical to serial admission (docs/DESIGN.md
-	// §15). The zero value mirrors Batch, so disabling prediction
-	// batching (-no-batch) disables admission batching too unless
-	// AdmitBatch is set explicitly.
+	// §15). The zero value mirrors Batch, so -no-batch disables
+	// admission batching too unless AdmitBatch is set explicitly.
 	AdmitBatch BatchConfig
 	// Cache optionally shares a trained-model cache across services.
 	// When nil the service creates a private one.
@@ -170,7 +172,7 @@ type fleetShard struct {
 	scorer *core.WhatIfScorer
 
 	// Admission-batch scratch, owned exclusively by the shard's admit
-	// loop goroutine (admitBatcher.loop) — never touched elsewhere, so
+	// coalescer goroutine (coalescer.loop) — never touched elsewhere, so
 	// it needs no locking of its own.
 	abPreds []coachvm.Prediction
 	abOKs   []bool
@@ -253,10 +255,12 @@ type Service struct {
 	routeMu sync.Mutex
 	route   map[int]int
 
-	batcher *batcher
-	// admit is the admission batcher (nil when AdmitBatch.Disabled):
-	// per-shard queues whose loop goroutines run admitBatch.
-	admit *admitBatcher
+	// predicts is the prediction coalescer (nil when Batch.Disabled):
+	// one queue whose consumer runs predictBatch.
+	predicts *coalescer[*trace.VM, predictOut]
+	// admit is the admission coalescer (nil when AdmitBatch.Disabled):
+	// one queue per shard whose consumer runs admitBatch.
+	admit *coalescer[*trace.VM, admitOut]
 
 	// dpTicks counts completed TickDataPlane passes.
 	dpTicks atomic.Int64
@@ -325,7 +329,7 @@ func New(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Service, error) {
 		cache = NewModelCache()
 	}
 	if cfg.AdmitBatch == (BatchConfig{}) {
-		// Unconfigured admission batching follows the prediction batcher,
+		// Unconfigured admission batching follows prediction batching,
 		// so one -no-batch knob yields fully serial serving.
 		cfg.AdmitBatch = cfg.Batch
 	}
@@ -394,10 +398,10 @@ func New(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Service, error) {
 		s.shards = append(s.shards, sh)
 	}
 	if !cfg.Batch.Disabled {
-		s.batcher = newBatcher(cfg.Batch, s.predictBatch)
+		s.predicts = newCoalescer(1, cfg.Batch, s.predictBatch)
 	}
 	if !cfg.AdmitBatch.Disabled {
-		s.admit = newAdmitBatcher(len(s.shards), cfg.AdmitBatch, s.admitBatch)
+		s.admit = newCoalescer(len(s.shards), cfg.AdmitBatch, s.admitBatch)
 	}
 	return s, nil
 }
@@ -441,14 +445,28 @@ func (s *Service) Warm() error {
 	return err
 }
 
-// predictBatch is the batcher's worker: one batched forest pass.
-func (s *Service) predictBatch(vms []*trace.VM) ([]coachvm.Prediction, []bool, error) {
+// predictOut is one prediction's result.
+type predictOut struct {
+	pred coachvm.Prediction
+	ok   bool
+	err  error
+}
+
+// predictBatch is the prediction coalescer's run function: one batched
+// forest pass over every queued prediction.
+func (s *Service) predictBatch(_ int, vms []*trace.VM, out []predictOut) int {
 	m, err := s.modelFor()
 	if err != nil {
-		return nil, nil, err
+		for i := range out {
+			out[i].err = err
+		}
+		return 0
 	}
 	preds, oks := m.PredictBatch(s.tr, vms)
-	return preds, oks, nil
+	for i := range out {
+		out[i] = predictOut{pred: preds[i], ok: oks[i]}
+	}
+	return 0
 }
 
 // VM resolves a trace VM id (nil when unknown).
@@ -462,8 +480,12 @@ func (s *Service) Predict(vm *trace.VM) (coachvm.Prediction, bool, error) {
 	if s.isClosed() {
 		return coachvm.Prediction{}, false, ErrClosed
 	}
-	if s.batcher != nil {
-		return s.batcher.submit(vm)
+	if s.predicts != nil {
+		out, err := s.predicts.submit(0, vm)
+		if err != nil {
+			return coachvm.Prediction{}, false, err
+		}
+		return out.pred, out.ok, out.err
 	}
 	m, err := s.modelFor()
 	if err != nil {
@@ -517,13 +539,17 @@ type AdmitResult struct {
 // capacity exists — when every pool in the home cluster is thrashing.
 func (s *Service) Admit(vm *trace.VM) (AdmitResult, error) {
 	if s.admit != nil {
-		return s.admit.submit(s.shardIndex(vm), vm)
+		out, err := s.admit.submit(s.shardIndex(vm), vm)
+		if err != nil {
+			return AdmitResult{}, err
+		}
+		return out.res, out.err
 	}
 	return s.admitSerial(vm)
 }
 
 // admitSerial is the per-request admission path: one prediction (through
-// the prediction batcher when enabled), one CVM shaping, one placement
+// the prediction coalescer when enabled), one CVM shaping, one placement
 // decision under the shard lock. It is the reference the batched path is
 // bit-identical to.
 func (s *Service) admitSerial(vm *trace.VM) (AdmitResult, error) {
@@ -612,9 +638,17 @@ func (s *Service) admitSerial(vm *trace.VM) (AdmitResult, error) {
 	return res, nil
 }
 
-// admitBatch is the admission batcher's per-shard worker: one batched
-// decision pass over every request that coalesced on shard ci, returning
-// the number of conflict-replayed rollout cells (docs/DESIGN.md §15).
+// admitOut is one admission's result.
+type admitOut struct {
+	res AdmitResult
+	err error
+}
+
+// admitBatch is the admission coalescer's run function for shard ci: one
+// batched decision pass over every request that coalesced on the shard,
+// returning the number of conflict-replayed rollout cells
+// (docs/DESIGN.md §15). Admission never crosses cluster boundaries, so
+// the coalescer keeps one queue per shard and a batch never spans two.
 //
 // The expensive sweeps run once per batch instead of once per request —
 // one batched forest pass (PredictBatchInto), one scored
@@ -1024,9 +1058,9 @@ type Stats struct {
 	// AdmitBatch reports admission-batch coalescing: how many admissions
 	// shared fleet-sized rollouts and how much commit-time re-scoring the
 	// sharing cost (docs/api.md).
-	AdmitBatch AdmitBatchStats `json:"admit_batch"`
-	Cache      CacheStats      `json:"cache"`
-	DataPlane  DataPlaneStats  `json:"data_plane"`
+	AdmitBatch BatchStats     `json:"admit_batch"`
+	Cache      CacheStats     `json:"cache"`
+	DataPlane  DataPlaneStats `json:"data_plane"`
 }
 
 // Stats snapshots admission counters, occupancy, batching effectiveness,
@@ -1034,8 +1068,8 @@ type Stats struct {
 func (s *Service) Stats() Stats {
 	st := Stats{Policy: s.cfg.Policy.String(), Cache: s.cache.Stats()}
 	st.Degraded = s.degraded.Load()
-	if s.batcher != nil {
-		st.Batch = s.batcher.stats()
+	if s.predicts != nil {
+		st.Batch = s.predicts.stats()
 	}
 	if s.admit != nil {
 		st.AdmitBatch = s.admit.stats()
@@ -1100,12 +1134,13 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// Close drains the batchers and rejects further requests with ErrClosed.
-// It is idempotent and safe to call concurrently with requests: in-flight
-// admissions and predictions complete before Close returns. The admission
-// batcher drains first — its workers predict through the model directly,
-// never through the prediction batcher, so the order only matters for
-// answering every queued admission before the service goes quiet.
+// Close drains the coalescers and rejects further requests with
+// ErrClosed. It is idempotent and safe to call concurrently with
+// requests: in-flight admissions and predictions complete before Close
+// returns. The admission coalescer drains first — its batches predict
+// through the model directly, never through the prediction coalescer, so
+// the order only matters for answering every queued admission before the
+// service goes quiet.
 func (s *Service) Close() {
 	s.closeMu.Lock()
 	s.closed = true
@@ -1113,8 +1148,8 @@ func (s *Service) Close() {
 	if s.admit != nil {
 		s.admit.close() // idempotent; waits for the drain either way
 	}
-	if s.batcher != nil {
-		s.batcher.close() // idempotent; waits for the drain either way
+	if s.predicts != nil {
+		s.predicts.close() // idempotent; waits for the drain either way
 	}
 }
 

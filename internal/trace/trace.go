@@ -208,14 +208,14 @@ func (tr *Trace) Validate() error {
 			return fmt.Errorf("trace: vm %d references unknown subscription %d", vm.ID, vm.Subscription)
 		}
 		if !vm.Alloc.Positive() {
-			return fmt.Errorf("trace: vm %d has non-positive allocation %v", vm.ID, vm.Alloc)
+			return fmt.Errorf("trace: vm %d has non-positive or non-finite allocation %v", vm.ID, vm.Alloc)
 		}
 		for _, k := range resources.Kinds {
 			if got, want := len(vm.Util[k]), vm.DurationSamples(); got != want {
 				return fmt.Errorf("trace: vm %d %v series has %d samples, want %d", vm.ID, k, got, want)
 			}
 			for _, u := range vm.Util[k] {
-				if u < 0 || u > 1 {
+				if !(u >= 0 && u <= 1) { // also rejects NaN
 					return fmt.Errorf("trace: vm %d %v utilization %f outside [0,1]", vm.ID, k, u)
 				}
 			}

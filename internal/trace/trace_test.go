@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -274,6 +275,35 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader("not a gob stream")); err == nil {
 		t.Error("garbage input must fail")
+	}
+}
+
+// TestLoadRejectsNonFinite checks that NaN utilization and NaN or +Inf
+// allocations never enter a loaded trace: NaN features would route
+// differently through the forest's per-row and matrix inference paths.
+func TestLoadRejectsNonFinite(t *testing.T) {
+	cfg := DefaultGenConfig()
+	cfg.VMs = 5
+	cases := map[string]func(tr *Trace){
+		"nan-util":  func(tr *Trace) { tr.VMs[1].Util[resources.Memory][0] = math.NaN() },
+		"nan-alloc": func(tr *Trace) { tr.VMs[1].Alloc[resources.CPU] = math.NaN() },
+		"inf-alloc": func(tr *Trace) { tr.VMs[1].Alloc[resources.Memory] = math.Inf(1) },
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			tr, err := Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			corrupt(tr)
+			var buf bytes.Buffer
+			if err := tr.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(&buf); err == nil {
+				t.Error("Load accepted a non-finite trace")
+			}
+		})
 	}
 }
 
