@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	go test -run=NONE -bench='^BenchmarkSimCore$' -benchtime=3x . > out.txt
+//	go test -run=NONE -bench='^BenchmarkSimCore$' -benchtime=3x -count=3 . > out.txt
 //	coach-benchdiff -grid simcore [-tolerance 0.25] out.txt
 //
 //	go test -run=NONE -bench='^BenchmarkPredictMatrix$' . > out.txt
@@ -15,7 +15,10 @@
 //	go test -run=NONE -bench='^BenchmarkServeAdmit$' . > out.txt
 //	coach-benchdiff -grid serve [-tolerance 0.5] out.txt
 //
-// With no file argument the bench output is read from stdin.
+// With no file argument the bench output is read from stdin. When a grid
+// point repeats in the output (go test -count=N), each variant's metrics
+// are the medians over its repetitions, so one noisy run cannot trip the
+// gate on its own.
 //
 // Each grid measures the same work under two variants — simcore runs the
 // dense reference replay loop against the event-driven core, predict runs
@@ -269,9 +272,10 @@ func relDrift(have, want float64) float64 {
 // suffix and the variant path segment removed, e.g.
 // "SimCore/sparse-churn/vms=1000/days=7/workers=1",
 // "PredictMatrix/trees=40/depth=12/batch=64" or
-// "ServeAdmit/clients=64".
+// "ServeAdmit/clients=64". A variant measured more than once (-count=N)
+// gets the median of each metric over its runs.
 func parseBench(r io.Reader, spec gridSpec) (map[string]gridPoint, error) {
-	out := make(map[string]gridPoint)
+	runs := make(map[string]map[string][]engineSample) // key -> variant -> runs
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -284,7 +288,7 @@ func parseBench(r io.Reader, spec gridSpec) (map[string]gridPoint, error) {
 			name = name[:i] // strip the -GOMAXPROCS suffix
 		}
 		key, variant, ok := splitVariant(name, spec.seg)
-		if !ok {
+		if !ok || (variant != spec.base && variant != spec.alt) {
 			continue
 		}
 		s := engineSample{}
@@ -302,14 +306,47 @@ func parseBench(r io.Reader, spec gridSpec) (map[string]gridPoint, error) {
 				s.VisitsPerOp = v
 			}
 		}
-		if variant != spec.base && variant != spec.alt {
-			continue
+		if runs[key] == nil {
+			runs[key] = make(map[string][]engineSample)
 		}
-		p := out[key]
-		p.setSample(variant, &s)
+		runs[key][variant] = append(runs[key][variant], s)
+	}
+	out := make(map[string]gridPoint, len(runs))
+	for key, variants := range runs {
+		var p gridPoint
+		for variant, rs := range variants {
+			p.setSample(variant, medianSample(rs))
+		}
 		out[key] = p
 	}
 	return out, sc.Err()
+}
+
+// medianSample is the per-metric median of one variant's runs.
+func medianSample(runs []engineSample) *engineSample {
+	metric := func(get func(engineSample) float64) float64 {
+		xs := make([]float64, len(runs))
+		for i, r := range runs {
+			xs[i] = get(r)
+		}
+		return median(xs)
+	}
+	return &engineSample{
+		NsPerOp:     metric(func(s engineSample) float64 { return s.NsPerOp }),
+		NsPerRow:    metric(func(s engineSample) float64 { return s.NsPerRow }),
+		VisitsPerOp: metric(func(s engineSample) float64 { return s.VisitsPerOp }),
+	}
+}
+
+// median sorts xs in place and returns its middle value, or the mean of
+// the two middle values for an even count.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // splitVariant removes the variant path segment (e.g. "engine=X",

@@ -122,6 +122,20 @@ func main() {
 	}
 }
 
+// Connection bounds of the HTTP server. Requests are small JSON bodies
+// (capped at 1 MiB by the handlers) answered in milliseconds, so these
+// only cut off clients that trickle headers or a body, never read their
+// response, or hold an idle keep-alive connection open; each would
+// otherwise pin a goroutine and a socket for as long as it likes.
+// WriteTimeout leaves room for a fault schedule's injected latency and a
+// full admission queue.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // options carries the parsed flags.
 type options struct {
 	addr           string
@@ -252,7 +266,14 @@ func run(o options) error {
 		}
 	}
 
-	srv := &http.Server{Addr: o.addr, Handler: svc.Handler()}
+	srv := &http.Server{
+		Addr:              o.addr,
+		Handler:           svc.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

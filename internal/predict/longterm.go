@@ -305,44 +305,30 @@ func (lt *LongTerm) MemoryBytes() int {
 // is predicted from its own observed utilization (the platform telemetry
 // keeps accumulating per-VM data, and VM behaviour is consistent day over
 // day — Fig. 9); only fresh VMs fall back to the cross-VM forest.
+//
+// Predict is a batch of one on the PredictBatchInto path: even a single
+// VM's 6 window rows per forest go faster through one matrix pass than
+// through one pointer walk each (docs/DESIGN.md §6).
 func (lt *LongTerm) Predict(tr *trace.Trace, vm *trace.VM) (pred coachvm.Prediction, ok bool) {
-	pred.Windows = lt.cfg.Windows
-	pred.Percentile = lt.cfg.Percentile
-	if visible := visibleSamples(vm, lt.upTo); visible >= lt.cfg.MinSamples {
-		for _, k := range resources.Kinds {
-			s := vm.Util[k][:visible]
-			pred.Pct[k] = quantizeAll(s.WindowPercentile(lt.cfg.Windows, lt.cfg.Percentile), lt.cfg.SafetyBuckets)
-			pred.Max[k] = quantizeAll(s.LifetimeWindowMax(lt.cfg.Windows), lt.cfg.SafetyBuckets)
-		}
-		pred.Clamp()
-		return pred, true
-	}
-	if lt.HistoryCount(vm.Subscription) < lt.cfg.MinHistory {
-		return pred, false
-	}
-	for _, k := range resources.Kinds {
-		pred.Max[k] = make([]float64, lt.cfg.Windows.PerDay)
-		pred.Pct[k] = make([]float64, lt.cfg.Windows.PerDay)
-		for t := 0; t < lt.cfg.Windows.PerDay; t++ {
-			feats := lt.features(tr, vm, k, t)
-			pred.Pct[k][t] = quantize(lt.pctForest[k].Predict(feats), lt.cfg.SafetyBuckets)
-			pred.Max[k][t] = quantize(lt.maxForest[k].Predict(feats), lt.cfg.SafetyBuckets)
-		}
-	}
-	pred.Clamp()
-	return pred, true
+	vms := [1]*trace.VM{vm}
+	var preds [1]coachvm.Prediction
+	var oks [1]bool
+	lt.PredictBatchInto(tr, vms[:], preds[:], oks[:])
+	return preds[0], oks[0]
 }
 
 // PredictBatch predicts a batch of VMs in single forest passes. The
-// results are exactly those of calling Predict per VM — bit-identical,
-// since mlforest.Forest.PredictMatrix accumulates per-row tree
-// contributions in the same order as the per-row walk — but all fresh
-// VMs' (window, resource) feature rows are evaluated through each forest
-// in one level-synchronous matrix pass, advancing the whole batch one
-// tree level at a time instead of pointer-chasing rows one by one, and
-// each VM's prediction windows are backed by shared flat allocations.
-// This is the inference hot path of the serving layer (internal/serve),
-// which coalesces concurrent prediction requests into such batches.
+// results are exactly those of walking each VM's feature rows one by one
+// through mlforest.Forest.Predict — bit-identical, since PredictMatrix
+// accumulates per-row tree contributions in the same order as the walk —
+// but all fresh VMs' (window, resource) feature rows are evaluated
+// through each forest in one level-synchronous matrix pass, advancing
+// the whole batch one tree level at a time instead of pointer-chasing
+// rows one by one, and each VM's prediction windows are backed by shared
+// flat allocations. This is the inference path of the serving layer
+// (internal/serve), which coalesces concurrent prediction requests into
+// such batches, and of the simulator, which predicts each shard's
+// arrivals in chunks ahead of replay.
 func (lt *LongTerm) PredictBatch(tr *trace.Trace, vms []*trace.VM) ([]coachvm.Prediction, []bool) {
 	preds := make([]coachvm.Prediction, len(vms))
 	oks := make([]bool, len(vms))

@@ -11,11 +11,12 @@ import (
 )
 
 // TestPredictBatchMatrixEquivalence is the predict half of the
-// level-synchronous equivalence wall: with PredictBatch now feeding the
-// forests through the feature-major matrix path, every scenario preset's
-// batched predictions must stay gob-byte-identical to per-VM Predict at
-// each required batch size. Run under -race in CI, this also races the
-// pooled matrix scratch across parallel presets.
+// level-synchronous equivalence wall: PredictBatch and per-VM Predict
+// both feed the forests through the feature-major matrix path, so for
+// every scenario preset both must stay gob-byte-identical to the per-row
+// reference walk (predictPerRow) at each required batch size. Run under
+// -race in CI, this also races the pooled matrix scratch across parallel
+// presets.
 func TestPredictBatchMatrixEquivalence(t *testing.T) {
 	for _, name := range scenario.PresetNames {
 		name := name
@@ -44,30 +45,24 @@ func TestPredictBatchMatrixEquivalence(t *testing.T) {
 				for i := range vms {
 					vms[i] = &tr.VMs[i%len(tr.VMs)]
 				}
-				gotPred, gotOK := lt.PredictBatch(tr, vms)
+				batchPred, batchOK := lt.PredictBatch(tr, vms)
+				singlePred := make([]coachvm.Prediction, n)
+				singleOK := make([]bool, n)
 				wantPred := make([]coachvm.Prediction, n)
 				wantOK := make([]bool, n)
 				for i, vm := range vms {
-					wantPred[i], wantOK[i] = lt.Predict(tr, vm)
+					singlePred[i], singleOK[i] = lt.Predict(tr, vm)
+					wantPred[i], wantOK[i] = predictPerRow(lt, tr, vm)
 					if wantOK[i] && wantPred[i].Pct[0] != nil && n == 4096 {
 						forestRows++
 					}
 				}
-				var got, want bytes.Buffer
-				if err := gob.NewEncoder(&got).Encode(struct {
-					P  []coachvm.Prediction
-					OK []bool
-				}{gotPred, gotOK}); err != nil {
-					t.Fatal(err)
+				want := encodePredictions(t, wantPred, wantOK)
+				if got := encodePredictions(t, batchPred, batchOK); !bytes.Equal(got, want) {
+					t.Fatalf("batch %d: PredictBatch diverges from the per-row walk", n)
 				}
-				if err := gob.NewEncoder(&want).Encode(struct {
-					P  []coachvm.Prediction
-					OK []bool
-				}{wantPred, wantOK}); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got.Bytes(), want.Bytes()) {
-					t.Fatalf("batch %d: PredictBatch diverges from per-VM Predict", n)
+				if got := encodePredictions(t, singlePred, singleOK); !bytes.Equal(got, want) {
+					t.Fatalf("batch %d: per-VM Predict diverges from the per-row walk", n)
 				}
 			}
 			if forestRows == 0 {
@@ -78,4 +73,18 @@ func TestPredictBatchMatrixEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// encodePredictions gob-serializes a prediction batch; equal bytes mean
+// equal predictions down to every float bit pattern.
+func encodePredictions(t *testing.T, preds []coachvm.Prediction, oks []bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(struct {
+		P  []coachvm.Prediction
+		OK []bool
+	}{preds, oks}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

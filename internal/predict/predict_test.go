@@ -271,6 +271,70 @@ func TestPredictionClampAgainstMax(t *testing.T) {
 	}
 }
 
+// predictPerRow is the independent reference for every inference path of
+// LongTerm: the per-row forest walk Predict ran before it became a batch
+// of one, kept verbatim. Each (resource, window) feature row goes through
+// mlforest.Forest.Predict alone, so it shares no code with PredictMatrix.
+func predictPerRow(lt *LongTerm, tr *trace.Trace, vm *trace.VM) (pred coachvm.Prediction, ok bool) {
+	pred.Windows = lt.cfg.Windows
+	pred.Percentile = lt.cfg.Percentile
+	if visible := visibleSamples(vm, lt.upTo); visible >= lt.cfg.MinSamples {
+		for _, k := range resources.Kinds {
+			s := vm.Util[k][:visible]
+			pred.Pct[k] = quantizeAll(s.WindowPercentile(lt.cfg.Windows, lt.cfg.Percentile), lt.cfg.SafetyBuckets)
+			pred.Max[k] = quantizeAll(s.LifetimeWindowMax(lt.cfg.Windows), lt.cfg.SafetyBuckets)
+		}
+		pred.Clamp()
+		return pred, true
+	}
+	if lt.HistoryCount(vm.Subscription) < lt.cfg.MinHistory {
+		return pred, false
+	}
+	for _, k := range resources.Kinds {
+		pred.Max[k] = make([]float64, lt.cfg.Windows.PerDay)
+		pred.Pct[k] = make([]float64, lt.cfg.Windows.PerDay)
+		for t := 0; t < lt.cfg.Windows.PerDay; t++ {
+			feats := lt.features(tr, vm, k, t)
+			pred.Pct[k][t] = quantize(lt.pctForest[k].Predict(feats), lt.cfg.SafetyBuckets)
+			pred.Max[k][t] = quantize(lt.maxForest[k].Predict(feats), lt.cfg.SafetyBuckets)
+		}
+	}
+	pred.Clamp()
+	return pred, true
+}
+
+// checkSamePrediction fails t unless got equals the per-row reference
+// want window by window, bit for bit.
+func checkSamePrediction(t *testing.T, path string, vmID int, got coachvm.Prediction, gotOK bool, want coachvm.Prediction, wantOK bool) {
+	t.Helper()
+	if gotOK != wantOK {
+		t.Fatalf("vm %d: %s ok=%v, per-row ok=%v", vmID, path, gotOK, wantOK)
+	}
+	if got.Windows != want.Windows || got.Percentile != want.Percentile {
+		t.Fatalf("vm %d: %s windows/percentile %v/%v, per-row %v/%v",
+			vmID, path, got.Windows, got.Percentile, want.Windows, want.Percentile)
+	}
+	for _, k := range resources.Kinds {
+		if len(got.Pct[k]) != len(want.Pct[k]) || len(got.Max[k]) != len(want.Max[k]) {
+			t.Fatalf("vm %d %v: %s has %d/%d windows, per-row %d/%d", vmID, k, path,
+				len(got.Pct[k]), len(got.Max[k]), len(want.Pct[k]), len(want.Max[k]))
+		}
+		for w := range want.Pct[k] {
+			if got.Pct[k][w] != want.Pct[k][w] {
+				t.Fatalf("vm %d %v pct window %d: %s %v != per-row %v",
+					vmID, k, w, path, got.Pct[k][w], want.Pct[k][w])
+			}
+			if got.Max[k][w] != want.Max[k][w] {
+				t.Fatalf("vm %d %v max window %d: %s %v != per-row %v",
+					vmID, k, w, path, got.Max[k][w], want.Max[k][w])
+			}
+		}
+	}
+}
+
+// TestPredictBatchMatchesPredict holds both inference entry points —
+// PredictBatch over a 120-VM batch and per-VM Predict, a batch of one —
+// to the per-row reference walk.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	tr, m := getTraceAndModel(t)
 	var vms []*trace.VM
@@ -286,10 +350,10 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 	sawFresh, sawSelf, sawNoHist := false, false, false
 	for i, vm := range vms {
-		single, ok := m.Predict(tr, vm)
-		if ok != oks[i] {
-			t.Fatalf("vm %d: batch ok=%v, single ok=%v", vm.ID, oks[i], ok)
-		}
+		want, ok := predictPerRow(m, tr, vm)
+		checkSamePrediction(t, "PredictBatch", vm.ID, preds[i], oks[i], want, ok)
+		single, singleOK := m.Predict(tr, vm)
+		checkSamePrediction(t, "Predict", vm.ID, single, singleOK, want, ok)
 		if !ok {
 			sawNoHist = true
 			continue
@@ -298,18 +362,6 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 			sawFresh = true
 		} else {
 			sawSelf = true
-		}
-		for _, k := range resources.Kinds {
-			for w := range single.Pct[k] {
-				if preds[i].Pct[k][w] != single.Pct[k][w] {
-					t.Fatalf("vm %d %v pct window %d: batch %v != single %v",
-						vm.ID, k, w, preds[i].Pct[k][w], single.Pct[k][w])
-				}
-				if preds[i].Max[k][w] != single.Max[k][w] {
-					t.Fatalf("vm %d %v max window %d: batch %v != single %v",
-						vm.ID, k, w, preds[i].Max[k][w], single.Max[k][w])
-				}
-			}
 		}
 	}
 	if !sawFresh || !sawSelf {

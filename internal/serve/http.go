@@ -224,10 +224,7 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ReportRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "malformed request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	vm := s.VM(req.VM)
@@ -277,10 +274,7 @@ func (s *Service) decodeVM(w http.ResponseWriter, r *http.Request) (*trace.VM, b
 		return nil, false
 	}
 	var req VMRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "malformed request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return nil, false
 	}
 	vm := s.VM(req.VM)
@@ -289,6 +283,30 @@ func (s *Service) decodeVM(w http.ResponseWriter, r *http.Request) (*trace.VM, b
 		return nil, false
 	}
 	return vm, true
+}
+
+// maxBodyBytes bounds a JSON request body. Every request type is a few
+// dozen bytes; reading stops at this limit, so an oversized body costs the
+// server at most this much memory.
+const maxBodyBytes = 1 << 20
+
+// decodeBody strictly decodes r's JSON body into v, writing the error
+// response itself when it returns false: 413 when the body exceeds
+// maxBodyBytes, 400 when it is malformed or has unknown fields.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				ErrorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)})
+			return false
+		}
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "malformed request body: " + err.Error()})
+		return false
+	}
+	return true
 }
 
 func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {

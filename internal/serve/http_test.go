@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -78,6 +79,34 @@ func TestHTTPErrorCodes(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET predict: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestHTTPOversizedBody pins coachd's body bound: a JSON body over
+// maxBodyBytes is a 413 on every POST endpoint, whether the excess is
+// inside the JSON value or whitespace before it, and a normal body gets
+// the same response before and after.
+func TestHTTPOversizedBody(t *testing.T) {
+	_, ts := newTestServer(t)
+	code, before := post(t, ts.URL+"/v1/predict", `{"vm": 0}`)
+	if code != http.StatusOK {
+		t.Fatalf("normal body: status %d (%s)", code, before)
+	}
+	pad := strings.Repeat("a", maxBodyBytes)
+	for _, body := range []string{
+		`{"vm": 0, "pad": "` + pad + `"}`,
+		strings.Repeat(" ", maxBodyBytes+1) + `{"vm": 0}`,
+	} {
+		for _, path := range []string{"/v1/predict", "/v1/admit", "/v1/release", "/v1/report"} {
+			code, b := post(t, ts.URL+path, body)
+			if code != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s with a %d-byte body: status %d, want 413 (%.200s)", path, len(body), code, b)
+			}
+		}
+	}
+	code, after := post(t, ts.URL+"/v1/predict", `{"vm": 0}`)
+	if code != http.StatusOK || !bytes.Equal(before, after) {
+		t.Fatalf("normal body after oversized ones: status %d, response %s, want %s", code, after, before)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -31,7 +32,16 @@ type shard struct {
 	index  int
 	sched  *scheduler.Scheduler // nil when the cluster has no servers
 	events []event
+	// arrivals lists the VMs of events' arrival entries in event order:
+	// the order in which step consumes their long-term predictions.
+	arrivals []*trace.VM
 }
+
+// predictChunk is how many upcoming arrivals a shard predicts in one
+// batched forest pass (docs/DESIGN.md §6 "Batched arrival prediction").
+// On sim-sparse a batch of 16 already takes most of the gain over
+// per-VM prediction and 64 takes more, while the buffer stays small.
+const predictChunk = 64
 
 // shardResult is the per-shard slice of Result, merged by merge().
 type shardResult struct {
@@ -95,6 +105,11 @@ func buildShards(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) ([]*shard, e
 			// Departures before arrivals at the same tick frees capacity first.
 			return !evs[i].arrival && evs[j].arrival
 		})
+		for _, ev := range evs {
+			if ev.arrival {
+				sh.arrivals = append(sh.arrivals, ev.vm)
+			}
+		}
 	}
 	return shards, nil
 }
@@ -162,6 +177,18 @@ type shardState struct {
 	ei       int
 	zero     resources.Vector
 
+	// preds and oks hold the long-term predictions of the current chunk
+	// of predictChunk arrivals, made ahead of time in one batched pass;
+	// next indexes sh.arrivals at the arrival step consumes next.
+	// Predictions depend only on the model, the trace and the VM, never
+	// on replay state, so making them early changes nothing. A refill
+	// overwrites the entries, not the window slices they point to
+	// (PredictBatchInto allocates those per call), so placed CVMs keep
+	// theirs. Unused without a model.
+	preds []coachvm.Prediction
+	oks   []bool
+	next  int
+
 	// extra holds migration-injected departure events for VMs that moved
 	// in from another shard, kept sorted by (sample, vm.ID); xi is the
 	// cursor. Their original departure events still sit in the source
@@ -214,6 +241,10 @@ func newShardState(sh *shard, tr *trace.Trace, model *predict.LongTerm, cfg Conf
 	}
 	if sh.sched != nil {
 		st.servers = sh.sched.Servers()
+	}
+	if model != nil {
+		st.preds = make([]coachvm.Prediction, 0, predictChunk)
+		st.oks = make([]bool, 0, predictChunk)
 	}
 	if cfg.DataPlane {
 		sdp, err := newShardDataPlane(sh, cfg)
@@ -307,10 +338,9 @@ func (st *shardState) step(t int) error {
 			continue
 		}
 		st.sr.requested++
-		var pred coachvm.Prediction
-		ok := false
-		if st.model != nil {
-			pred, ok = st.model.Predict(st.tr, ev.vm)
+		pred, ok, err := st.nextPrediction(ev.vm)
+		if err != nil {
+			return err
 		}
 		cvm, err := scheduler.BuildCVM(st.cfg.Policy, ev.vm.ID, ev.vm.Alloc, pred, ok, st.cfg.Windows)
 		if err != nil {
@@ -372,6 +402,33 @@ func (st *shardState) step(t int) error {
 		st.denseContention()
 	}
 	return nil
+}
+
+// nextPrediction returns the long-term prediction of vm, which must be
+// the shard's next arrival. At the start of each chunk it predicts the
+// chunk's predictChunk arrivals with one PredictBatchInto call — a
+// level-synchronous matrix pass per forest instead of one pointer walk
+// per (resource, window, forest) and VM — bit-identical to per-VM
+// Predict. Filling here, not in newShardState, keeps the batches on the
+// worker pool. An arrival out of step with the cursor is an error, not
+// a silently misattributed prediction. Without a model every VM is
+// unpredicted (ok false).
+func (st *shardState) nextPrediction(vm *trace.VM) (coachvm.Prediction, bool, error) {
+	if st.model == nil {
+		return coachvm.Prediction{}, false, nil
+	}
+	i := st.next
+	if i >= len(st.sh.arrivals) || st.sh.arrivals[i] != vm {
+		return coachvm.Prediction{}, false, fmt.Errorf(
+			"sim: shard %d: arrival of VM %d out of step with the prediction cursor", st.sh.index, vm.ID)
+	}
+	if i%predictChunk == 0 {
+		chunk := st.sh.arrivals[i:min(i+predictChunk, len(st.sh.arrivals))]
+		st.preds, st.oks = st.preds[:len(chunk)], st.oks[:len(chunk)]
+		st.model.PredictBatchInto(st.tr, chunk, st.preds, st.oks)
+	}
+	st.next++
+	return st.preds[i%predictChunk], st.oks[i%predictChunk], nil
 }
 
 // denseDeltaPass is the reference demand pass: visit every placed VM,
